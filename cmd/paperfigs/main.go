@@ -23,15 +23,22 @@ import (
 	"hetgrid/internal/sim"
 )
 
+// Defaults of the Figures 6-8 sweep; out/fig678_sweep.csv is their output.
+const (
+	defaultTrials = 300
+	defaultMaxN   = 8
+	defaultSeed   = 20000501 // the IPPS 2000 date
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("paperfigs: ")
 	var (
 		outDir  = flag.String("out", "out", "output directory for CSV files")
 		only    = flag.String("only", "", "regenerate one artifact: fig1, fig3, fig4, fig6, fig7, fig8, example, exact, mm-lu, shapes, ablation")
-		trials  = flag.Int("trials", 200, "random trials per grid size for Figures 6-8")
-		maxN    = flag.Int("maxn", 8, "largest n for the n×n sweeps of Figures 6-8")
-		seed    = flag.Int64("seed", 20000501, "random seed (defaults to the IPPS 2000 date)")
+		trials  = flag.Int("trials", defaultTrials, "random trials per grid size for Figures 6-8")
+		maxN    = flag.Int("maxn", defaultMaxN, "largest n for the n×n sweeps of Figures 6-8")
+		seed    = flag.Int64("seed", defaultSeed, "random seed (defaults to the IPPS 2000 date)")
 		workers = flag.Int("workers", 0, "worker goroutines for the exact solver (0 = GOMAXPROCS; output is identical for any count)")
 	)
 	flag.Parse()

@@ -367,6 +367,16 @@ func (s *treeSearcher) searchArrangement(arr *grid.Arrangement, arrSeq int, pref
 	s.en.Enumerate(prefix, &s.hooks, s.visitTree)
 }
 
+// detachBest gives the best candidate its own copy of arr if it points at
+// it. The global solvers search the arrangement that
+// grid.EnumerateNonDecreasingShared rewrites for the next one, and copy only
+// the few that hold a best candidate.
+func (s *treeSearcher) detachBest(arr *grid.Arrangement) {
+	if s.best.arr == arr {
+		s.best.arr = arr.Clone()
+	}
+}
+
 // solution materializes the best candidate, or nil if none was found.
 func (s *treeSearcher) solution() *Solution {
 	if s.best.arr == nil {
@@ -394,11 +404,14 @@ func (s *treeSearcher) solution() *Solution {
 // arrangements that cannot beat an incumbent.
 func ArrangementUpperBound(arr *grid.Arrangement) float64 {
 	p, q := arr.P, arr.Q
-	g := make([][]float64, p)
+	var small [64]float64 // row-major G, on the stack for grids up to 64 cells
+	g := small[:0]
+	if p*q > len(small) {
+		g = make([]float64, 0, p*q)
+	}
 	for i := 0; i < p; i++ {
-		g[i] = make([]float64, q)
 		for j := 0; j < q; j++ {
-			g[i][j] = 1 / math.Sqrt(arr.T[i][j])
+			g = append(g, 1/math.Sqrt(arr.T[i][j]))
 		}
 	}
 	sum := 0.0
@@ -406,7 +419,7 @@ func ArrangementUpperBound(arr *grid.Arrangement) float64 {
 		for k := 0; k < p; k++ {
 			dot := 0.0
 			for j := 0; j < q; j++ {
-				dot += g[i][j] * g[k][j]
+				dot += g[i*q+j] * g[k*q+j]
 			}
 			sum += dot * dot
 		}
@@ -505,7 +518,7 @@ func SolveGlobalExactOpt(times []float64, p, q int, opts ExactOptions) (*Solutio
 	s.resetBest()
 	treeCount := spantree.CountCompleteBipartite(p, q)
 	seq := 0
-	_, err := grid.EnumerateNonDecreasing(times, p, q, func(arr *grid.Arrangement) bool {
+	_, err := grid.EnumerateNonDecreasingShared(times, p, q, func(arr *grid.Arrangement) bool {
 		s.stats.Arrangements++
 		s.stats.TreesTheoretical += treeCount
 		if !opts.NoPrune && ArrangementUpperBound(arr) < seed {
@@ -514,6 +527,7 @@ func SolveGlobalExactOpt(times []float64, p, q int, opts ExactOptions) (*Solutio
 			return true
 		}
 		s.searchArrangement(arr, seq, nil)
+		s.detachBest(arr)
 		seq++
 		return true
 	})

@@ -44,32 +44,6 @@ func (a *atomicFloat64) raise(v float64) {
 	}
 }
 
-// atomicExactStats aggregates worker statistics without locks.
-type atomicExactStats struct {
-	treesVisited, treesAcceptable, branchesPruned atomic.Int64
-}
-
-func (a *atomicExactStats) add(s *ExactStats) {
-	a.treesVisited.Add(int64(s.TreesVisited))
-	a.treesAcceptable.Add(int64(s.TreesAcceptable))
-	a.branchesPruned.Add(int64(s.BranchesPruned))
-}
-
-func (a *atomicExactStats) into(s *ExactStats) {
-	s.TreesVisited += int(a.treesVisited.Load())
-	s.TreesAcceptable += int(a.treesAcceptable.Load())
-	s.BranchesPruned += int(a.branchesPruned.Load())
-}
-
-// exactWorkItem is one unit of search work: an arrangement (with its
-// deterministic sequence number in enumeration order) and the partition
-// class of its spanning trees to enumerate (nil = all trees).
-type exactWorkItem struct {
-	seq    int
-	arr    *grid.Arrangement
-	prefix []bool
-}
-
 // partitionBits picks how many leading edge-choice digits to branch on so
 // that a single arrangement's 2^bits partition classes keep `workers`
 // workers busy, without exploding the item count.
@@ -84,22 +58,71 @@ func partitionBits(treeCount, nEdges, workers int) int {
 	return bits
 }
 
+// runSearchers runs work on `workers` goroutines, each with its own
+// treeSearcher, and returns the searchers once every goroutine has finished.
+// Each searcher is built on the goroutine that uses it, so its small,
+// constantly written buffers come from that processor's allocation cache:
+// built side by side on one goroutine, two workers' buffers share cache
+// lines, and on 2 CPUs that false sharing doubled the CPU time of a solve.
+func runSearchers(p, q, workers int, opts ExactOptions, work func(s *treeSearcher)) []*treeSearcher {
+	searchers := make([]*treeSearcher, workers)
+	var wg sync.WaitGroup
+	for w := range searchers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := newTreeSearcher(p, q, opts)
+			s.resetBest()
+			searchers[w] = s
+			work(s)
+		}()
+	}
+	wg.Wait()
+	return searchers
+}
+
+// mergeSearchers adds every searcher's statistics into total and returns
+// the best candidate under the deterministic total order.
+func mergeSearchers(searchers []*treeSearcher, total *ExactStats) (*Solution, *ExactStats, error) {
+	var best *treeSearcher
+	for _, s := range searchers {
+		total.Add(&s.stats)
+		if s.best.arr != nil && (best == nil || s.best.betterThan(&best.best)) {
+			best = s
+		}
+	}
+	if best == nil {
+		return nil, total, ErrNoAcceptableTree
+	}
+	return best.solution(), total, nil
+}
+
 // SolveGlobalExactParallel runs the branch-and-bound global exact search of
-// SolveGlobalExact on the given number of workers (0 selects GOMAXPROCS). A
-// producer streams the non-decreasing arrangements over a channel; workers
-// pull (arrangement, tree-partition) items, search them with per-worker
-// reusable scratch state, and share a monotone best-so-far objective through
-// an atomic float that short-circuits candidate bookkeeping. The returned
-// solution — objective, arrangement, R, C — is bit-identical to the serial
-// solver's for every worker count: candidates are ordered by the
-// deterministic total order (higher objective, then lexicographically
-// smallest arrangement, then lexicographically smallest tree), and all
-// pruning decisions depend only on the input, never on scheduling.
+// SolveGlobalExact on the given number of workers (0 selects GOMAXPROCS).
+// Work items are numbered in the deterministic EnumerateNonDecreasing order
+// and claimed from a shared atomic cursor: every worker walks the
+// enumeration itself, in place, and searches the items it claims, so no
+// arrangement is copied for, or handed to, another goroutine. An item is a
+// whole arrangement, or — only when there are fewer arrangements than
+// workers — one tree-partition class of an arrangement. Workers keep reusable scratch
+// state and share a monotone best-so-far objective through an atomic float
+// that short-circuits candidate bookkeeping. The returned solution —
+// objective, arrangement, R, C — is bit-identical to the serial solver's for
+// every worker count: candidates are ordered by the deterministic total
+// order (higher objective, then lexicographically smallest arrangement, then
+// lexicographically smallest tree), and all pruning decisions depend only on
+// the input, never on scheduling.
 func SolveGlobalExactParallel(times []float64, p, q, workers int) (*Solution, *ExactStats, error) {
 	return SolveGlobalExactOpt(times, p, q, ExactOptions{Workers: workers})
 }
 
 func solveGlobalParallel(times []float64, p, q int, opts ExactOptions) (*Solution, *ExactStats, error) {
+	// Counting the arrangements also validates the input before any worker
+	// starts.
+	arrangements, err := grid.CountNonDecreasing(times, p, q)
+	if err != nil {
+		return nil, &ExactStats{}, err
+	}
 	workers := normalizeWorkers(opts.Workers)
 	seed := math.Inf(-1)
 	if !opts.NoPrune {
@@ -112,85 +135,64 @@ func solveGlobalParallel(times []float64, p, q int, opts ExactOptions) (*Solutio
 	incumbent.store(seed)
 
 	treeCount := spantree.CountCompleteBipartite(p, q)
-	bits := partitionBits(treeCount, p*q, workers)
-	prefixes := spantree.PartitionPrefixes(p*q, bits)
+	prefixes := [][]bool{nil}
+	if arrangements < workers {
+		prefixes = spantree.PartitionPrefixes(p*q, partitionBits(treeCount, p*q, workers))
+	}
+	parts := len(prefixes)
+	items := int64(arrangements * parts)
+	var cursor atomic.Int64
 
-	items := make(chan exactWorkItem, 4*workers)
-	prodStats := &ExactStats{}
-	var prodErr error
-	go func() {
-		defer close(items)
+	searchers := runSearchers(p, q, workers, opts, func(s *treeSearcher) {
+		item := cursor.Add(1) - 1
+		if item >= items {
+			return
+		}
 		seq := 0
-		_, prodErr = grid.EnumerateNonDecreasing(times, p, q, func(arr *grid.Arrangement) bool {
-			prodStats.Arrangements++
-			prodStats.TreesTheoretical += treeCount
+		// The input was validated by the count above.
+		_, _ = grid.EnumerateNonDecreasingShared(times, p, q, func(arr *grid.Arrangement) bool {
 			// The bound test uses the deterministic heuristic seed, not the
 			// live incumbent, so the pruned arrangement set — and with it
 			// every tree statistic — is identical for every worker count
 			// and every run.
-			if !opts.NoPrune && ArrangementUpperBound(arr) < seed {
-				prodStats.ArrangementsPruned++
-				seq++
-				return true
-			}
-			for _, prefix := range prefixes {
-				items <- exactWorkItem{seq: seq, arr: arr, prefix: prefix}
-			}
-			seq++
-			return true
-		})
-	}()
-
-	searchers := make([]*treeSearcher, workers)
-	var shared atomicExactStats
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		s := newTreeSearcher(p, q, opts)
-		s.resetBest()
-		searchers[w] = s
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for item := range items {
+			checked, pruned := false, false
+			for ; item < items && int(item)/parts == seq; item = cursor.Add(1) - 1 {
+				part := int(item) % parts
+				if !checked {
+					checked = true
+					pruned = !opts.NoPrune && ArrangementUpperBound(arr) < seed
+				}
+				if pruned {
+					if part == 0 {
+						s.stats.ArrangementsPruned++
+					}
+					continue
+				}
 				// Candidates strictly below the shared best-so-far can never
 				// win (the worker holding that value keeps it locally), so
-				// skip their bookkeeping. Counters are taken before the skip,
-				// keeping all statistics scheduling-independent.
+				// skip their bookkeeping. Counters are taken before the
+				// skip, keeping all statistics scheduling-independent.
 				s.skipBelow = incumbent.load()
-				s.searchArrangement(item.arr, item.seq, item.prefix)
+				s.searchArrangement(arr, seq, prefixes[part])
+				s.detachBest(arr)
 				if s.best.arr != nil {
 					incumbent.raise(s.best.obj)
 				}
 			}
-			shared.add(&s.stats)
-		}()
-	}
-	wg.Wait()
-	total := &ExactStats{}
-	total.Add(prodStats)
-	shared.into(total)
-	if prodErr != nil {
-		return nil, total, prodErr
-	}
-	var best *exactCandidate
-	for _, s := range searchers {
-		if s.best.arr != nil && s.best.betterThan(best) {
-			best = &s.best
-		}
-	}
-	if best == nil {
-		return nil, total, ErrNoAcceptableTree
-	}
-	return &Solution{
-		Arr: best.arr,
-		R:   append([]float64(nil), best.r...),
-		C:   append([]float64(nil), best.c...),
-	}, total, nil
+			seq++
+			return item < items
+		})
+	})
+	return mergeSearchers(searchers, &ExactStats{
+		Arrangements:     arrangements,
+		TreesTheoretical: arrangements * treeCount,
+	})
 }
 
 // solveArrangementParallel splits the spanning-tree enumeration of a single
 // arrangement across workers by partitioning on the first edge-choice
-// digits. Results are bit-identical to the serial fixed-arrangement solver.
+// digits; workers claim partition classes from a shared atomic cursor.
+// Results are bit-identical to the serial fixed-arrangement solver.
 func solveArrangementParallel(arr *grid.Arrangement, workers int, opts ExactOptions) (*Solution, *ExactStats, error) {
 	p, q := arr.P, arr.Q
 	treeCount := spantree.CountCompleteBipartite(p, q)
@@ -206,43 +208,11 @@ func solveArrangementParallel(arr *grid.Arrangement, workers int, opts ExactOpti
 		return SolveArrangementExactOpt(arr, serial)
 	}
 	prefixes := spantree.PartitionPrefixes(p*q, bits)
-	items := make(chan []bool, len(prefixes))
-	for _, prefix := range prefixes {
-		items <- prefix
-	}
-	close(items)
-
-	searchers := make([]*treeSearcher, workers)
-	var shared atomicExactStats
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		s := newTreeSearcher(p, q, opts)
-		s.resetBest()
-		searchers[w] = s
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for prefix := range items {
-				s.searchArrangement(arr, 0, prefix)
-			}
-			shared.add(&s.stats)
-		}()
-	}
-	wg.Wait()
-	total := &ExactStats{Arrangements: 1, TreesTheoretical: treeCount}
-	shared.into(total)
-	var best *exactCandidate
-	for _, s := range searchers {
-		if s.best.arr != nil && s.best.betterThan(best) {
-			best = &s.best
+	var cursor atomic.Int64
+	searchers := runSearchers(p, q, workers, opts, func(s *treeSearcher) {
+		for item := cursor.Add(1) - 1; item < int64(len(prefixes)); item = cursor.Add(1) - 1 {
+			s.searchArrangement(arr, 0, prefixes[item])
 		}
-	}
-	if best == nil {
-		return nil, total, ErrNoAcceptableTree
-	}
-	return &Solution{
-		Arr: best.arr,
-		R:   append([]float64(nil), best.r...),
-		C:   append([]float64(nil), best.c...),
-	}, total, nil
+	})
+	return mergeSearchers(searchers, &ExactStats{Arrangements: 1, TreesTheoretical: treeCount})
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"hetgrid/internal/grid"
 )
@@ -44,7 +45,7 @@ func TestParallelSerialEquivalenceProperty(t *testing.T) {
 	shapes := []shape{
 		{2, 2, 60}, {2, 3, 50}, {3, 2, 40}, {2, 4, 30}, {3, 3, 14}, {3, 4, 6},
 	}
-	workerCounts := []int{1, 4, runtime.NumCPU()}
+	workerCounts := []int{1, 2, 4, runtime.NumCPU()}
 	total := 0
 	for _, sh := range shapes {
 		total += sh.seeds
@@ -80,6 +81,33 @@ func TestParallelSerialEquivalenceProperty(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestParallelErrorPathMatchesSerial: a non-positive cycle-time fails the
+// serial and the 2-worker solver with the same error, and the parallel
+// solver leaves no goroutine behind.
+func TestParallelErrorPathMatchesSerial(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	for _, times := range [][]float64{
+		{1, 2, 0, 4, 5, 6},
+		{1, 2, 3, -4, 5, 6},
+	} {
+		_, _, serialErr := SolveGlobalExactOpt(times, 2, 3, ExactOptions{Workers: 1})
+		_, _, parErr := SolveGlobalExactOpt(times, 2, 3, ExactOptions{Workers: 2})
+		if serialErr == nil || parErr == nil {
+			t.Fatalf("times %v: errors %v (serial) and %v (parallel), want both non-nil", times, serialErr, parErr)
+		}
+		if serialErr.Error() != parErr.Error() {
+			t.Fatalf("times %v: serial error %q, parallel error %q", times, serialErr, parErr)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the failed solves, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

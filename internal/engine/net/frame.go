@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"hetgrid/internal/matrix"
 )
@@ -50,8 +51,8 @@ const (
 )
 
 // maxFrameSize bounds a single frame; a length prefix beyond it means a
-// corrupt or hostile stream and fails the connection instead of a huge
-// allocation.
+// corrupt or hostile stream and fails the connection. Within the bound,
+// readFrame allocates as the body arrives, not for the claimed length.
 const maxFrameSize = 1 << 30
 
 // writeFrame emits one frame. The writer is typically buffered; callers
@@ -81,11 +82,36 @@ func readFrame(r io.Reader) (ftype byte, body []byte, err error) {
 	if hdr[4] != frameVersion {
 		return 0, nil, fmt.Errorf("net: frame version %d, want %d", hdr[4], frameVersion)
 	}
-	body = make([]byte, n-2)
-	if _, err := io.ReadFull(r, body); err != nil {
+	if body, err = readBody(r, int(n-2)); err != nil {
 		return 0, nil, err
 	}
 	return hdr[5], body, nil
+}
+
+// frameChunk is the most readBody allocates before any body byte arrives.
+const frameChunk = 64 << 10
+
+// readBody reads an n-byte frame body into a buffer that grows, at most
+// doubling, as bytes arrive, so a length prefix a peer claims but never
+// sends costs a buffer of about frameChunk or twice the bytes actually
+// received, whichever is larger. Errors match io.ReadFull over the whole
+// body.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	body := make([]byte, 0, min(n, frameChunk))
+	for len(body) < n {
+		if len(body) == cap(body) {
+			body = slices.Grow(body, min(n-len(body), len(body)))
+		}
+		m, err := io.ReadFull(r, body[len(body):min(n, cap(body))])
+		body = body[:len(body)+m]
+		if err != nil {
+			if err == io.EOF && len(body) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	return body, nil
 }
 
 // encodeData serializes one tagged message: header ints big-endian, the

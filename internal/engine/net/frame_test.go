@@ -2,7 +2,9 @@ package net
 
 import (
 	"bytes"
+	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -108,4 +110,82 @@ func TestDecodeDataRejectsTruncation(t *testing.T) {
 			t.Fatalf("truncated data frame (%d bytes) accepted", n)
 		}
 	}
+}
+
+// TestReadFrameAllocatesAsBytesArrive: a frame that claims the maximum
+// length but carries a few bytes fails as a truncated read, having
+// allocated for what arrived rather than for what it claimed.
+func TestReadFrameAllocatesAsBytesArrive(t *testing.T) {
+	raw := []byte{0x40, 0x00, 0x00, 0x00, frameVersion, frameData}
+	raw = append(raw, make([]byte, 100)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := readFrame(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF {
+		t.Fatalf("truncated 1 GiB frame: err %v, want %v", err, io.ErrUnexpectedEOF)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("truncated 1 GiB frame allocated %d bytes", grew)
+	}
+}
+
+// TestReadFrameBodySizes round-trips bodies around the growth steps of the
+// incremental body read, and checks that a body cut short after its first
+// byte fails with io.ErrUnexpectedEOF.
+func TestReadFrameBodySizes(t *testing.T) {
+	for _, n := range []int{0, 1, frameChunk - 1, frameChunk, frameChunk + 1, 3*frameChunk + 7} {
+		want := make([]byte, n)
+		for i := range want {
+			want[i] = byte(i * 7)
+		}
+		var buf bytes.Buffer
+		if err := writeFrame(&buf, frameRetx, want); err != nil {
+			t.Fatal(err)
+		}
+		raw := buf.Bytes()
+		ftype, got, err := readFrame(bytes.NewReader(raw))
+		if err != nil || ftype != frameRetx || !bytes.Equal(got, want) {
+			t.Fatalf("%d-byte body: type %d, %d bytes, err %v", n, ftype, len(got), err)
+		}
+		for _, cut := range []int{7, 6 + (n+1)/2, len(raw) - 1} {
+			if cut <= 6 || cut >= len(raw) {
+				continue
+			}
+			if _, _, err := readFrame(bytes.NewReader(raw[:cut])); err != io.ErrUnexpectedEOF {
+				t.Fatalf("%d-byte body cut at %d: err %v, want %v", n, cut, err, io.ErrUnexpectedEOF)
+			}
+		}
+	}
+}
+
+// FuzzReadFrame feeds arbitrary byte streams to readFrame: every input must
+// end in a frame or a clean error, never a panic or a hang, and an accepted
+// frame must re-encode to exactly the bytes it was read from.
+func FuzzReadFrame(f *testing.F) {
+	var valid bytes.Buffer
+	if err := writeFrame(&valid, frameData, encodeData(0, 1, "t", matrix.New(2, 2))); err != nil {
+		f.Fatal(err)
+	}
+	raw := valid.Bytes()
+	f.Add(append([]byte(nil), raw...))
+	f.Add(raw[:3])                                                        // truncated header
+	f.Add(raw[:len(raw)-5])                                               // truncated body
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, frameVersion, frameData})        // oversized length
+	f.Add([]byte{0x40, 0x00, 0x00, 0x00, frameVersion, frameData, 1})     // maximum length, one byte sent
+	f.Add([]byte{0x00, 0x00, 0x00, 0x01, frameVersion})                   // length below the header
+	f.Add(append([]byte{0x00, 0x00, 0x00, 0x03, frameVersion + 1}, 1, 2)) // wrong version
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ftype, body, err := readFrame(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := writeFrame(&out, ftype, body); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, out.Bytes()) {
+			t.Fatalf("frame (type %d, %d-byte body) does not re-encode to its input", ftype, len(body))
+		}
+	})
 }

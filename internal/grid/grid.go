@@ -193,6 +193,18 @@ func (a *Arrangement) String() string {
 // retained. If visit returns false the enumeration stops. Returns the number
 // of arrangements visited.
 func EnumerateNonDecreasing(times []float64, p, q int, visit func(*Arrangement) bool) (int, error) {
+	if visit == nil {
+		return EnumerateNonDecreasingShared(times, p, q, nil)
+	}
+	return EnumerateNonDecreasingShared(times, p, q, func(a *Arrangement) bool { return visit(a.Clone()) })
+}
+
+// EnumerateNonDecreasingShared is EnumerateNonDecreasing without the copy
+// per arrangement: visit receives the same Arrangement every time, rewritten
+// in place between calls, and must Clone it to retain it. Callers that
+// inspect most arrangements and keep few use it to avoid an allocation per
+// arrangement.
+func EnumerateNonDecreasingShared(times []float64, p, q int, visit func(*Arrangement) bool) (int, error) {
 	if len(times) != p*q {
 		return 0, fmt.Errorf("grid: %d cycle-times cannot fill a %d×%d grid", len(times), p, q)
 	}
@@ -215,6 +227,7 @@ func EnumerateNonDecreasing(times []float64, p, q int, visit func(*Arrangement) 
 	for i := range t {
 		t[i] = make([]float64, q)
 	}
+	arr := &Arrangement{P: p, Q: q, T: t}
 	used := make([]bool, n)
 	count := 0
 	stopped := false
@@ -225,11 +238,8 @@ func EnumerateNonDecreasing(times []float64, p, q int, visit func(*Arrangement) 
 		}
 		if pos == n {
 			count++
-			if visit != nil {
-				arr := &Arrangement{P: p, Q: q, T: t}
-				if !visit(arr.Clone()) {
-					stopped = true
-				}
+			if visit != nil && !visit(arr) {
+				stopped = true
 			}
 			return
 		}
@@ -241,16 +251,31 @@ func EnumerateNonDecreasing(times []float64, p, q int, visit func(*Arrangement) 
 		if i > 0 && t[i-1][j] > minVal {
 			minVal = t[i-1][j]
 		}
+		// Every cell below and to the right of (i,j) must hold a value at
+		// least t[i][j], so a value is only worth trying if at least rect
+		// unused values remain above it. Candidates ascend, so the first
+		// value that fails ends the loop; the cut branches hold no
+		// arrangement, and the visiting order is unchanged.
+		rect := (p-i)*(q-j) - 1
+		below := 0 // unused values before index k
 		prev := math.NaN()
 		for k := 0; k < n; k++ {
-			if used[k] || sorted[k] < minVal || sorted[k] == prev {
+			if used[k] {
 				continue
+			}
+			if sorted[k] < minVal || sorted[k] == prev {
+				below++
+				continue
+			}
+			if n-pos-1-below < rect {
+				break
 			}
 			prev = sorted[k]
 			used[k] = true
 			t[i][j] = sorted[k]
 			rec(pos + 1)
 			used[k] = false
+			below++
 			if stopped {
 				return
 			}

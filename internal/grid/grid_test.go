@@ -307,3 +307,56 @@ func TestEnumerateFirstIsRowMajor(t *testing.T) {
 		t.Fatalf("first enumerated:\n%swant row-major:\n%s", first, rm)
 	}
 }
+
+// TestEnumerateNonDecreasingLexicographicOrder pins the visiting order the
+// exact solvers number arrangements by: every non-decreasing matrix among
+// all arrangements of the multiset, once each, in lexicographic order of
+// its row-major values, each one freshly allocated. Random small grids with
+// repeated values.
+func TestEnumerateNonDecreasingLexicographicOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	less := func(a, b []float64) bool {
+		for i := range a {
+			if a[i] != b[i] {
+				return a[i] < b[i]
+			}
+		}
+		return false
+	}
+	for trial := 0; trial < 40; trial++ {
+		p, q := 1+rng.Intn(3), 1+rng.Intn(3)
+		if p*q > 7 {
+			q = 7 / p
+		}
+		times := make([]float64, p*q)
+		for i := range times {
+			times[i] = float64(1 + rng.Intn(p*q))
+		}
+		var want [][]float64
+		if _, err := EnumerateAll(times, p, q, func(a *Arrangement) bool {
+			if a.IsNonDecreasing() {
+				want = append(want, a.Times())
+			}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		sort.Slice(want, func(i, j int) bool { return less(want[i], want[j]) })
+		// Retained arrangements must stay intact after the enumeration.
+		var got []*Arrangement
+		if _, err := EnumerateNonDecreasing(times, p, q, func(a *Arrangement) bool {
+			got = append(got, a)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%v on %d×%d: %d arrangements, want %d", times, p, q, len(got), len(want))
+		}
+		for k, a := range got {
+			if g := a.Times(); less(g, want[k]) || less(want[k], g) {
+				t.Fatalf("%v on %d×%d: arrangement %d is %v, want %v", times, p, q, k, g, want[k])
+			}
+		}
+	}
+}

@@ -73,7 +73,6 @@ func CompleteBipartite(p, q int) *Graph {
 type unionFind struct {
 	parent []int
 	size   []int
-	comps  int
 	log    []ufOp
 }
 
@@ -82,7 +81,7 @@ type ufOp struct {
 }
 
 func newUnionFind(n int) *unionFind {
-	uf := &unionFind{parent: make([]int, n), size: make([]int, n), comps: n}
+	uf := &unionFind{parent: make([]int, n), size: make([]int, n)}
 	uf.reset()
 	return uf
 }
@@ -93,7 +92,6 @@ func (uf *unionFind) reset() {
 		uf.parent[i] = i
 		uf.size[i] = 1
 	}
-	uf.comps = len(uf.parent)
 	uf.log = uf.log[:0]
 }
 
@@ -118,7 +116,6 @@ func (uf *unionFind) union(a, b int) bool {
 	}
 	uf.parent[rb] = ra
 	uf.size[ra] += uf.size[rb]
-	uf.comps--
 	uf.log = append(uf.log, ufOp{child: rb, parent: ra})
 	return true
 }
@@ -129,7 +126,6 @@ func (uf *unionFind) undo() {
 	uf.log = uf.log[:len(uf.log)-1]
 	uf.parent[op.child] = op.child
 	uf.size[op.parent] -= uf.size[op.child]
-	uf.comps++
 }
 
 // Hooks lets a caller track incremental state during enumeration and prune
@@ -147,25 +143,100 @@ type Hooks struct {
 }
 
 // Enumerator runs repeated spanning-tree enumerations over one graph with
-// reusable internal buffers (union-find, probe union-find for the
-// connectivity bound, edge stack), so per-call allocation stays O(1). It is
-// not safe for concurrent use; give each worker its own Enumerator.
+// reusable internal buffers (union-find, edge stack, connectivity tables), so
+// per-call allocation stays O(1). It is not safe for concurrent use; give
+// each worker its own Enumerator.
+//
+// The connectivity bound asks, at every exclude decision, whether the chosen
+// edges plus the edges not yet decided can still connect the graph. The
+// undecided edges always form a suffix Edges[idx:], whose components depend
+// only on the graph, so they are computed once here: suffixLabel[idx] maps
+// each vertex to its component in (V, Edges[idx:]) and suffixComps[idx]
+// counts those components. The check then unions only the chosen edges over
+// the few suffix components.
 type Enumerator struct {
-	g      *Graph
-	uf     *unionFind
-	probe  *unionFind
-	chosen []int
+	g           *Graph
+	uf          *unionFind
+	chosen      []int
+	suffixLabel [][]int
+	suffixComps []int
+	probe       []int // union-find parents over suffix component labels
 }
 
 // NewEnumerator returns an Enumerator over g. The graph must not be mutated
 // while the enumerator is in use.
 func NewEnumerator(g *Graph) *Enumerator {
-	return &Enumerator{
-		g:      g,
-		uf:     newUnionFind(g.N),
-		probe:  newUnionFind(g.N),
-		chosen: make([]int, 0, maxInt(g.N-1, 0)),
+	m := len(g.Edges)
+	en := &Enumerator{
+		g:           g,
+		uf:          newUnionFind(g.N),
+		chosen:      make([]int, 0, maxInt(g.N-1, 0)),
+		suffixLabel: make([][]int, m+1),
+		suffixComps: make([]int, m+1),
+		probe:       make([]int, g.N),
 	}
+	// Grow the suffix one edge at a time from the empty one, labelling the
+	// components of each in order of their smallest vertex.
+	labels := make([]int, (m+1)*g.N)
+	suffix := newUnionFind(g.N)
+	rootLabel := make([]int, g.N)
+	for idx := m; idx >= 0; idx-- {
+		if idx < m {
+			suffix.union(g.Edges[idx].U, g.Edges[idx].V)
+		}
+		for v := range rootLabel {
+			rootLabel[v] = -1
+		}
+		lab := labels[idx*g.N : (idx+1)*g.N]
+		k := 0
+		for v := range lab {
+			r := suffix.find(v)
+			if rootLabel[r] < 0 {
+				rootLabel[r] = k
+				k++
+			}
+			lab[v] = rootLabel[r]
+		}
+		en.suffixLabel[idx] = lab
+		en.suffixComps[idx] = k
+	}
+	return en
+}
+
+// canConnect reports whether the chosen edges together with Edges[idx:]
+// connect the graph.
+func (en *Enumerator) canConnect(idx int) bool {
+	k := en.suffixComps[idx]
+	if k <= 1 {
+		return true
+	}
+	// Merging k components takes at least k-1 chosen edges.
+	if len(en.chosen) < k-1 {
+		return false
+	}
+	lab, parent := en.suffixLabel[idx], en.probe[:k]
+	for i := range parent {
+		parent[i] = i
+	}
+	for _, ei := range en.chosen {
+		e := en.g.Edges[ei]
+		a, b := lab[e.U], lab[e.V]
+		for parent[a] != a {
+			parent[a] = parent[parent[a]]
+			a = parent[a]
+		}
+		for parent[b] != b {
+			parent[b] = parent[parent[b]]
+			b = parent[b]
+		}
+		if a != b {
+			parent[a] = b
+			if k--; k == 1 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func maxInt(a, b int) int {
@@ -215,20 +286,6 @@ func (en *Enumerator) Enumerate(prefix []bool, h *Hooks, visit func(edges []int)
 	count := 0
 	stopped := false
 
-	// remaining connectivity check: can the edges from index idx onward,
-	// together with the current partial forest, still connect the graph?
-	canConnect := func(idx int) bool {
-		probe := en.probe
-		probe.reset()
-		for _, e := range en.chosen {
-			probe.union(g.Edges[e].U, g.Edges[e].V)
-		}
-		for i := idx; i < len(g.Edges) && probe.comps > 1; i++ {
-			probe.union(g.Edges[i].U, g.Edges[i].V)
-		}
-		return probe.comps == 1
-	}
-
 	var rec func(idx int)
 	rec = func(idx int) {
 		if stopped {
@@ -264,7 +321,7 @@ func (en *Enumerator) Enumerate(prefix []bool, h *Hooks, visit func(edges []int)
 		}
 		// Branch 2: exclude edge idx, but only if connectivity remains
 		// achievable without it.
-		if (!forced || !prefix[idx]) && canConnect(idx+1) {
+		if (!forced || !prefix[idx]) && en.canConnect(idx+1) {
 			rec(idx + 1)
 		}
 	}
