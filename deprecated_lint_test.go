@@ -22,20 +22,18 @@ import (
 var deprecatedUse = []*regexp.Regexp{
 	regexp.MustCompile(`\bhetgrid\.(BalanceOpts|BalanceArrangementOpts|FactorLU|FactorCholesky|FactorQR|QRFactorization|DistributedMultiplyOpts|DistributedFactorLUOpts|DistributedFactorCholeskyOpts|DistributedFactorQROpts)\b`),
 	regexp.MustCompile(`\bcliutil\.(ParseKernel|ParseBroadcast|ParseStrategy)\b`),
-	// Transport v1 cancellation: Abort() survives only as a shim on the
-	// engine fabrics; everything in-repo closes with Close(ctx)/CloseCause.
+	// Transport v1 cancellation is gone: fabrics close with
+	// Close(ctx)/CloseCause, and no Abort() may come back.
 	regexp.MustCompile(`\.Abort\(\)`),
 }
 
 // declarationFiles are where the shims live; their declarations (and the
 // delegation between them) are allowed.
 var declarationFiles = map[string]bool{
-	"hetgrid.go":                   true,
-	"extras.go":                    true,
-	"distributed.go":               true,
-	"internal/cliutil/cliutil.go":  true,
-	"internal/engine/transport.go": true, // deprecated Abort() shims live here
-	"internal/engine/fault.go":     true,
+	"hetgrid.go":                  true,
+	"extras.go":                   true,
+	"distributed.go":              true,
+	"internal/cliutil/cliutil.go": true,
 }
 
 func TestNoDeprecatedAPIUse(t *testing.T) {

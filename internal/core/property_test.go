@@ -74,6 +74,17 @@ func TestRearrangeFixedPointIdempotent(t *testing.T) {
 
 // TestScalingInvariance: multiplying every cycle-time by a constant scales
 // the objective by its inverse and leaves the workload matrix unchanged.
+//
+// The heuristic is scale-invariant in exact arithmetic but not scale-exact
+// in floating point: each step's rank-one approximation comes from a power
+// iteration that stops once the singular value moves by under 1e-14
+// relative, when the singular vectors are only accurate to about its
+// square root, and the scaled input can stop on a different iteration.
+// Over 20,000 random inputs the objective differed by up to 6e-9 relative
+// and the mean workload by up to 2.3e-9 (a mean workload of 0.836 once
+// moved by 1.7e-9, past the old 1e-9 absolute bound), so both invariants
+// are checked to 1e-6 relative. The generator is seeded so a failure
+// reproduces.
 func TestScalingInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(173))
 	f := func(seed int64) bool {
@@ -98,9 +109,9 @@ func TestScalingInvariance(t *testing.T) {
 		if math.Abs(a.Objective()-b.Objective()*scale) > 1e-6*a.Objective() {
 			return false
 		}
-		return math.Abs(a.MeanWorkload()-b.MeanWorkload()) < 1e-9
+		return math.Abs(a.MeanWorkload()-b.MeanWorkload()) <= 1e-6*a.MeanWorkload()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(174))}); err != nil {
 		t.Error(err)
 	}
 }

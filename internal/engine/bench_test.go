@@ -8,11 +8,11 @@ import (
 	"hetgrid/internal/matrix"
 )
 
-func benchDistribution(b *testing.B, nb int) distribution.Distribution {
-	b.Helper()
+func benchDistribution(tb testing.TB, nb int) distribution.Distribution {
+	tb.Helper()
 	d, err := distribution.UniformBlockCyclic(2, 2, nb, nb)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return d
 }
@@ -23,6 +23,7 @@ func BenchmarkDistributedMM(b *testing.B) {
 	a := matrix.Random(nb*r, nb*r, rng)
 	bm := matrix.Random(nb*r, nb*r, rng)
 	d := benchDistribution(b, nb)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := Run(4, func(c *Comm) error {
@@ -43,13 +44,14 @@ func BenchmarkDistributedMM(b *testing.B) {
 	}
 }
 
-func BenchmarkDistributedLU(b *testing.B) {
+// benchLU is BenchmarkDistributedLU's problem: a 2×2 uniform block-cyclic
+// LU at n=64 in 8×8 blocks. run executes one scatter + LU world.
+func benchLU(tb testing.TB) (run func() error) {
 	const nb, r = 8, 8
 	rng := rand.New(rand.NewSource(2))
 	a := matrix.RandomWellConditioned(nb*r, rng)
-	d := benchDistribution(b, nb)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	d := benchDistribution(tb, nb)
+	return func() error {
 		_, err := Run(4, func(c *Comm) error {
 			store, err := Scatter(c, d, pick(c.Rank() == 0, a), r)
 			if err != nil {
@@ -57,7 +59,16 @@ func BenchmarkDistributedLU(b *testing.B) {
 			}
 			return LU(c, d, store)
 		})
-		if err != nil {
+		return err
+	}
+}
+
+func BenchmarkDistributedLU(b *testing.B) {
+	run := benchLU(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := run(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -66,6 +77,7 @@ func BenchmarkDistributedLU(b *testing.B) {
 func BenchmarkMessagePingPong(b *testing.B) {
 	// Raw mailbox round-trip latency.
 	payload := matrix.New(8, 8)
+	b.ReportAllocs()
 	b.ResetTimer()
 	_, err := Run(2, func(c *Comm) error {
 		if c.Rank() == 0 {

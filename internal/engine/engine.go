@@ -28,6 +28,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -290,10 +291,23 @@ func parallelDo(workers, n int, fn func(i int)) {
 // Send delivers a copy of data to dst under tag. Sending to yourself is
 // allowed and does not count as traffic (local data). Send never blocks.
 func (c *Comm) Send(dst int, tag string, data *matrix.Dense) {
-	if dst < 0 || dst >= c.world.n {
-		panic(fmt.Sprintf("engine: send to rank %d of %d", dst, c.world.n))
+	c.sendOwned(dst, tag, data.Clone())
+}
+
+// sendOwned is Send without the defensive copy, for a payload the caller
+// gives up: a fresh buffer (a scatter or gather pack, a stacked panel)
+// that no rank writes after the call. Receivers may get the very same
+// buffer, shared read-only with its other recipients.
+func (c *Comm) sendOwned(dst int, tag string, data *matrix.Dense) {
+	c.checkPeer("send to", dst)
+	c.world.meter.Send(c.rank, dst, tag, data)
+}
+
+// checkPeer panics on a rank outside the world.
+func (c *Comm) checkPeer(op string, peer int) {
+	if peer < 0 || peer >= c.world.n {
+		panic(fmt.Sprintf("engine: %s rank %d of %d", op, peer, c.world.n))
 	}
-	c.world.meter.Send(c.rank, dst, tag, data.Clone())
 }
 
 // Recv blocks until a message with the tag arrives from src and returns
@@ -306,9 +320,7 @@ func (c *Comm) Send(dst int, tag string, data *matrix.Dense) {
 // the engine's abort panics, so the kernels above stay error-free SPMD
 // code while remote failures still surface as clean *RankFailure errors.
 func (c *Comm) Recv(src int, tag string) *matrix.Dense {
-	if src < 0 || src >= c.world.n {
-		panic(fmt.Sprintf("engine: recv from rank %d of %d", src, c.world.n))
-	}
+	c.checkPeer("recv from", src)
 	w := c.world
 	timeout := w.opts.RecvTimeout
 	if timeout <= 0 {
@@ -398,7 +410,10 @@ func (c *Comm) Step(k int) error {
 // When a scheduled slowdown fault is in force on this rank, the section is
 // stretched to factor× its natural duration by spinning out the difference
 // inside the span — the busy-time gauges observe the injected load drift
-// while f's results stay untouched.
+// while f's results stay untouched. The spin yields the processor on every
+// pass: a slowed rank models a slower processor of its own, so when ranks
+// outnumber cores it must not hold a core that another rank's compute
+// section is waiting for (which would stretch that rank's span too).
 func (c *Comm) Compute(label string, f func() error) error {
 	factor := 1.0
 	if ft := c.world.fault; ft != nil {
@@ -421,6 +436,7 @@ func (c *Comm) Compute(label string, f func() error) error {
 		deadline := start.Add(time.Duration(float64(time.Since(start)) * factor))
 		for time.Now().Before(deadline) {
 			// Spin: the slowed rank is modeled as busy, not blocked.
+			runtime.Gosched()
 		}
 	}
 	if s != nil {

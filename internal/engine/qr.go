@@ -118,7 +118,7 @@ func QRResume(c *Comm, d distribution.Distribution, a *BlockStore, startK int, o
 
 		// 3. Broadcast the packed panel and taus to the trailing slab
 		// masters (owners of row k's trailing blocks).
-		tm := co.RowReceivers(k + 1)[k]
+		tm := co.RowReceivers(k+1, k)
 		packedAll := co.bcastIfMember(fmt.Sprintf("qp/%d", k), master, tm, packed, rows)
 		tauAll := co.bcastIfMember(fmt.Sprintf("qt/%d", k), master, tm, tauMat, r)
 

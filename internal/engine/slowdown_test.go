@@ -53,6 +53,13 @@ func TestSlowdownStretchesBusyTimeNotResults(t *testing.T) {
 	// A scheduled slowdown must (a) inflate the slowed rank's busy-time
 	// gauge and (b) leave the numerical result bit-identical to the
 	// undisturbed run — it models lost speed, not lost data.
+	//
+	// Busy times are wall-clock sums of microsecond compute sections, and
+	// with 4 ranks on a host of few cores any section can be stretched by
+	// the host descheduling its goroutine. That noise only ever adds
+	// time, so each rank's busy time is taken as its minimum over several
+	// identical runs: the injected 16× survives every run, while a rank
+	// must be disturbed in all of them to look slow.
 	d := faultTestDist(t, 6)
 	a := matrix.RandomWellConditioned(12, rand.New(rand.NewSource(11)))
 
@@ -68,9 +75,19 @@ func TestSlowdownStretchesBusyTimeNotResults(t *testing.T) {
 	}
 
 	plain, _ := run(nil)
-	slowed, busy := run([]SlowdownPoint{{Rank: 3, Step: 0, Factor: 16}})
-	if !plain.Equal(slowed) {
-		t.Fatal("slowdown changed the numerical result")
+	const runs = 7
+	var busy []float64
+	for i := 0; i < runs; i++ {
+		slowed, b := run([]SlowdownPoint{{Rank: 3, Step: 0, Factor: 16}})
+		if !plain.Equal(slowed) {
+			t.Fatal("slowdown changed the numerical result")
+		}
+		if busy == nil {
+			busy = b
+		}
+		for r := range busy {
+			busy[r] = min(busy[r], b[r])
+		}
 	}
 	others := 0.0
 	for r, b := range busy {
@@ -79,7 +96,7 @@ func TestSlowdownStretchesBusyTimeNotResults(t *testing.T) {
 		}
 	}
 	if busy[3] < 3*others {
-		t.Fatalf("16× slowdown barely visible: rank 3 busy %v vs others' max %v", busy[3], others)
+		t.Fatalf("16× slowdown barely visible: rank 3 busy %v vs others' max %v (minimum of %d runs)", busy[3], others, runs)
 	}
 }
 
