@@ -138,10 +138,15 @@ func (f *Fabric) LocalRanks() []int {
 // and frames everything else to the destination's process. Send never
 // blocks: remote frames enter an unbounded writer queue. Sends on a closed
 // fabric are dropped — the world is aborting and nobody will receive them.
+// A message too large for one frame panics before anything is queued,
+// which the engine reports as the sending rank's failure.
 func (f *Fabric) Send(src, dst int, tag string, data *matrix.Dense) {
 	if f.rankProc[dst] == f.procID {
 		f.mem.Send(src, dst, tag, data)
 		return
+	}
+	if err := checkFrameSize(dataBodySize(tag, data.Rows(), data.Cols())); err != nil {
+		panic(fmt.Errorf("net: message %q from rank %d to %d: %w", tag, src, dst, err))
 	}
 	f.sendFrame(f.rankProc[dst], frameData, encodeData(src, dst, tag, data))
 }
